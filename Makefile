@@ -140,9 +140,9 @@ bench-sweep-baseline: bench-sweep
 	cp BENCH_sweep.json BENCH_sweep.baseline.json
 
 # Short fuzzing pass over every Fuzz* target (wire decoder, zone parser,
-# fault schedules). -fuzz accepts a single target per run, so discover and
-# loop.
-FUZZ_PKGS = ./internal/dns ./internal/zonefile ./internal/faults ./internal/snapshot ./internal/core
+# fault schedules, admission-control packet checks). -fuzz accepts a single
+# target per run, so discover and loop.
+FUZZ_PKGS = ./internal/dns ./internal/zonefile ./internal/faults ./internal/snapshot ./internal/core ./internal/overload
 
 fuzz:
 	@set -e; for pkg in $(FUZZ_PKGS); do \

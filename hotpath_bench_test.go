@@ -5,8 +5,11 @@ package lookaside
 // the retained seed-era reference path. docs/results-hotpath.md records the
 // before/after numbers; TestExchangeAllocationBudget pins the steady-state
 // allocation ceiling so regressions fail in CI rather than in a profile.
+// BenchmarkZoneReferral isolates one layer below the wire: a referral out
+// of a synth-backed TLD zone at paper scale (docs/results-sweep.md).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -111,5 +114,108 @@ func TestExchangeAllocationBudget(t *testing.T) {
 	})
 	if got > allocBudgetExchange {
 		t.Errorf("one warm exchange = %.1f allocs, budget %d", got, allocBudgetExchange)
+	}
+}
+
+// cutSynth is a zone.SynthSource of n delegations, every fourth one secure,
+// backed by a name map as the universe's TLD source is backed by the
+// population index.
+type cutSynth struct {
+	entries []zone.SynthEntry
+	byName  map[dns.Name]zone.SynthEntry
+	ns      dns.Name
+	ds      *dns.DSData
+}
+
+func newCutSynth(tb testing.TB, apex dns.Name, n int) *cutSynth {
+	tb.Helper()
+	s := &cutSynth{
+		byName: make(map[dns.Name]zone.SynthEntry, n),
+		ns:     dns.MustName("ns.pool." + string(apex)),
+		ds:     &dns.DSData{KeyTag: 4242, Algorithm: 253, DigestType: 2, Digest: []byte{1, 2, 3, 4}},
+	}
+	s.entries = make([]zone.SynthEntry, n)
+	for i := range s.entries {
+		kind := zone.SynthCut
+		if i%4 == 0 {
+			kind = zone.SynthSecureCut
+		}
+		e := zone.SynthEntry{Name: dns.MustName(fmt.Sprintf("d%07d.%s", i, apex)), Kind: kind}
+		s.entries[i] = e
+		s.byName[e.Name] = e
+	}
+	return s
+}
+
+func (s *cutSynth) SynthIndex() []zone.SynthEntry {
+	return append([]zone.SynthEntry(nil), s.entries...)
+}
+
+func (s *cutSynth) SynthLookup(name dns.Name) (zone.SynthEntry, bool) {
+	e, ok := s.byName[name]
+	return e, ok
+}
+
+func (s *cutSynth) SynthRecords(e zone.SynthEntry) ([]dns.RR, error) {
+	rrs := []dns.RR{{Name: e.Name, Type: dns.TypeNS, Class: dns.ClassIN, Data: &dns.NSData{Target: s.ns}}}
+	if e.Kind == zone.SynthSecureCut {
+		rrs = append(rrs, dns.RR{Name: e.Name, Type: dns.TypeDS, Class: dns.ClassIN, Data: s.ds})
+	}
+	return rrs, nil
+}
+
+// BenchmarkZoneReferral measures one DNSSEC referral out of a signed TLD
+// zone whose 10^6 delegations come from a SynthSource: the delegation cut
+// is found by exact-owner lookups, and the insecure referral adds the NSEC
+// that denies the DS. Queries cycle over 4096 delegations so the overlay
+// and signature caches stay warm and the lookup itself is what is timed.
+func BenchmarkZoneReferral(b *testing.B) {
+	const owners, working = 1_000_000, 4096
+	apex := dns.MustName("tld")
+	z, err := zone.New(zone.Config{Apex: apex, Serial: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ksk, err := dnssec.GenerateKey(dnssec.AlgFastHMAC, dns.DNSKEYFlagZone|dns.DNSKEYFlagSEP, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zsk, err := dnssec.GenerateKey(dnssec.AlgFastHMAC, dns.DNSKEYFlagZone, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := z.Sign(zone.SignConfig{KSK: ksk, ZSK: zsk, Inception: 0, Expiration: 1 << 31, Rand: rng}); err != nil {
+		b.Fatal(err)
+	}
+	src := newCutSynth(b, apex, owners)
+	z.AttachSynth(src)
+
+	for _, tc := range []struct {
+		name string
+		kind zone.SynthKind
+	}{{"secure", zone.SynthSecureCut}, {"insecure", zone.SynthCut}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var qnames []dns.Name
+			for i := 0; len(qnames) < working; i += owners / working {
+				for src.entries[i].Kind != tc.kind {
+					i++
+				}
+				qnames = append(qnames, dns.MustName("www."+string(src.entries[i].Name)))
+			}
+			for _, q := range qnames { // sort the index, fill overlay and signatures
+				if _, err := z.Lookup(q, dns.TypeA, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := z.Lookup(qnames[i%working], dns.TypeA, true)
+				if err != nil || res.Kind != zone.KindReferral {
+					b.Fatalf("lookup: %v, %+v", err, res)
+				}
+			}
+		})
 	}
 }

@@ -18,8 +18,12 @@ var refusedTemplate = [HeaderLen]byte{2: 0x80, 3: 0x05}
 // RefusedInto writes the REFUSED response for raw query q into dst (which
 // must hold HeaderLen bytes) and returns the packet. Only the 2-byte ID is
 // taken from the query, plus its RD bit so the header echoes the client's
-// flags the way a full responder would.
+// flags the way a full responder would. A q shorter than a header is not a
+// query and yields nil.
 func RefusedInto(dst []byte, q []byte) []byte {
+	if len(q) < HeaderLen {
+		return nil
+	}
 	dst = dst[:HeaderLen]
 	copy(dst, refusedTemplate[:])
 	dst[0], dst[1] = q[0], q[1]

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
@@ -161,23 +162,41 @@ type span struct {
 	expires     uint32
 }
 
-// spanStore keeps validated NSEC spans queryable by coverage. Inserts go to
-// an unsorted tail; when the tail grows past a threshold it is merged into
-// the sorted body, keeping both insert and lookup cheap at the scale of the
-// million-domain sweeps. A limit bounds the total span count: at the cap,
-// expired spans are purged; if every span is still live the store resets
-// wholesale — crude, but deterministic, and spans rebuild from subsequent
-// denials.
+// spanStore keeps validated NSEC spans queryable by coverage. Both the body
+// and a small tail of recent inserts are kept in canonical owner order, and
+// an owner appears at most once across the two (the freshest expiry wins),
+// so every coverage check is two binary searches. When the tail fills it is
+// merged into the body, keeping both insert and lookup cheap at the scale of
+// the million-domain sweeps. A limit bounds the total span count: at the
+// cap, expired spans are purged; if every span is still live the store
+// resets wholesale — crude, but deterministic, and spans rebuild from
+// subsequent denials.
 type spanStore struct {
 	sorted []span
 	tail   []span
 	limit  int
 }
 
-// tailLimit bounds the unsorted tail before a merge. covers scans the tail
-// linearly on every look-aside check, so the tail must stay small; merges
-// are cheap (sort the tail, then one linear pass over the body).
+// tailLimit bounds the tail before a merge. An insert shifts the tail to
+// keep it ordered, and a merge is one backward pass over the body, so the
+// tail trades the per-insert shift against the frequency of body passes.
 const tailLimit = 64
+
+// searchSpans returns the index of the first span whose owner sorts after
+// name, and whether the span just before it is owned by name itself.
+func searchSpans(spans []span, name dns.Name) (int, bool) {
+	i := sort.Search(len(spans), func(i int) bool {
+		return dns.CanonicalCompare(spans[i].owner, name) > 0
+	})
+	return i, i > 0 && spans[i-1].owner == name
+}
+
+// refresh replaces the span at i when sp expires later.
+func refresh(spans []span, i int, sp span) {
+	if sp.expires > spans[i].expires {
+		spans[i] = sp
+	}
+}
 
 func (s *spanStore) add(sp span, now uint32) {
 	if s.limit > 0 && s.size() >= s.limit {
@@ -186,7 +205,16 @@ func (s *spanStore) add(sp span, now uint32) {
 			s.sorted, s.tail = s.sorted[:0], s.tail[:0]
 		}
 	}
-	s.tail = append(s.tail, sp)
+	if i, ok := searchSpans(s.sorted, sp.owner); ok {
+		refresh(s.sorted, i-1, sp)
+		return
+	}
+	i, ok := searchSpans(s.tail, sp.owner)
+	if ok {
+		refresh(s.tail, i-1, sp)
+		return
+	}
+	s.tail = slices.Insert(s.tail, i, sp)
 	if len(s.tail) >= tailLimit {
 		s.merge()
 	}
@@ -194,58 +222,29 @@ func (s *spanStore) add(sp span, now uint32) {
 
 // purge drops expired spans from both the sorted body and the tail.
 func (s *spanStore) purge(now uint32) {
-	live := s.sorted[:0]
-	for _, sp := range s.sorted {
-		if sp.expires >= now {
-			live = append(live, sp)
-		}
-	}
-	s.sorted = live
-	liveTail := s.tail[:0]
-	for _, sp := range s.tail {
-		if sp.expires >= now {
-			liveTail = append(liveTail, sp)
-		}
-	}
-	s.tail = liveTail
+	expired := func(sp span) bool { return sp.expires < now }
+	s.sorted = slices.DeleteFunc(s.sorted, expired)
+	s.tail = slices.DeleteFunc(s.tail, expired)
 }
 
-// merge folds the tail into the sorted body: sort the (small) tail, then
-// one linear two-way merge, deduplicating identical owners with the
-// freshest expiry. The body is never re-sorted — with tens of thousands of
-// harvested spans per registry at sweep scale, a full sort per merge would
-// dominate the audit.
+// merge folds the tail into the body with one backward two-way merge in
+// place. Owners are disjoint across the two, so nothing deduplicates here,
+// and the body is never re-sorted — with tens of thousands of harvested
+// spans per registry at sweep scale, a full sort per merge would dominate
+// the audit.
 func (s *spanStore) merge() {
-	sort.Slice(s.tail, func(i, j int) bool {
-		return dns.CanonicalLess(s.tail[i].owner, s.tail[j].owner)
-	})
-	out := make([]span, 0, len(s.sorted)+len(s.tail))
-	i, j := 0, 0
-	push := func(sp span) {
-		if n := len(out); n > 0 && out[n-1].owner == sp.owner {
-			if sp.expires > out[n-1].expires {
-				out[n-1] = sp
-			}
-			return
-		}
-		out = append(out, sp)
-	}
-	for i < len(s.sorted) && j < len(s.tail) {
-		if dns.CanonicalCompare(s.sorted[i].owner, s.tail[j].owner) <= 0 {
-			push(s.sorted[i])
-			i++
+	i, j := len(s.sorted)-1, len(s.tail)-1
+	s.sorted = slices.Grow(s.sorted, len(s.tail))[:len(s.sorted)+len(s.tail)]
+	for k := len(s.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && dns.CanonicalCompare(s.sorted[i].owner, s.tail[j].owner) > 0 {
+			s.sorted[k] = s.sorted[i]
+			i--
 		} else {
-			push(s.tail[j])
-			j++
+			s.sorted[k] = s.tail[j]
+			j--
 		}
 	}
-	for ; i < len(s.sorted); i++ {
-		push(s.sorted[i])
-	}
-	for ; j < len(s.tail); j++ {
-		push(s.tail[j])
-	}
-	s.sorted, s.tail = out, s.tail[:0]
+	s.tail = s.tail[:0]
 }
 
 // clone returns an independent, fully merged copy of the store (for export
@@ -263,30 +262,27 @@ func (s *spanStore) clone() *spanStore {
 // covers reports whether a live cached span proves the nonexistence of
 // name at the given time.
 func (s *spanStore) covers(name dns.Name, now uint32) bool {
-	for _, sp := range s.tail {
-		if sp.expires >= now && dns.Covered(name, sp.owner, sp.next) {
-			return true
-		}
-	}
-	if len(s.sorted) == 0 {
+	return coveredIn(s.tail, name, now) || coveredIn(s.sorted, name, now)
+}
+
+// coveredIn checks the two spans of an ordered run that can cover name in a
+// consistent chain: the one owned by the last owner <= name, and the
+// wrap-around span at the end of the chain.
+func coveredIn(spans []span, name dns.Name, now uint32) bool {
+	n := len(spans)
+	if n == 0 {
 		return false
 	}
-	// Binary search for the last owner <= name, then check that span and
-	// the wrap-around span at the end of the chain.
-	i := sort.Search(len(s.sorted), func(i int) bool {
-		return dns.CanonicalCompare(s.sorted[i].owner, name) > 0
-	})
-	candidates := []int{i - 1, len(s.sorted) - 1}
-	for _, j := range candidates {
-		if j < 0 || j >= len(s.sorted) {
-			continue
-		}
-		sp := s.sorted[j]
-		if sp.expires >= now && dns.Covered(name, sp.owner, sp.next) {
-			return true
-		}
+	i, _ := searchSpans(spans, name)
+	if i > 0 && spans[i-1].covers(name, now) {
+		return true
 	}
-	return false
+	return i < n && spans[n-1].covers(name, now)
+}
+
+// covers reports whether the span is live at now and proves name absent.
+func (sp span) covers(name dns.Name, now uint32) bool {
+	return sp.expires >= now && dns.Covered(name, sp.owner, sp.next)
 }
 
 // size returns the number of stored spans (for tests).

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -65,12 +64,18 @@ func TestSpanStoreMergeAndDedup(t *testing.T) {
 	}
 }
 
+// TestSpanStoreCoverageProperty interleaves inserts, clock steps and
+// coverage checks on a random chain, and after every step compares the
+// store with a linear dns.Covered scan over a reference model: one span per
+// owner (the freshest expiry wins), expired spans purged and the store
+// cleared wholesale when an insert finds it at its cap. Re-inserted owners
+// carry new expiries, spans expire as the clock advances, the last owner's
+// span wraps to the apex, and the capped run purges and resets repeatedly.
 func TestSpanStoreCoverageProperty(t *testing.T) {
-	// Build a random chain; every probe must be classified identically by
-	// the store and by a linear scan over the spans.
 	rng := rand.New(rand.NewSource(3))
-	var names []dns.Name
-	seen := map[dns.Name]bool{}
+	apex := dns.MustName("dlv.test")
+	names := []dns.Name{apex}
+	seen := map[dns.Name]bool{apex: true}
 	for len(names) < 300 {
 		n := dns.MustName(fmt.Sprintf("%s.dlv.test", randomChainLabel(rng)))
 		if !seen[n] {
@@ -79,34 +84,76 @@ func TestSpanStoreCoverageProperty(t *testing.T) {
 		}
 	}
 	sort.Slice(names, func(i, j int) bool { return dns.CanonicalLess(names[i], names[j]) })
-	s := &spanStore{}
-	var linear []span
+	chain := make([]span, len(names))
 	for i := range names {
-		next := dns.MustName("dlv.test")
+		next := apex // the last span wraps around to the apex
 		if i+1 < len(names) {
 			next = names[i+1]
 		}
-		sp := span{owner: names[i], next: next, expires: 1000}
-		// Insert in a shuffled order to exercise tail/merge paths.
-		linear = append(linear, sp)
+		chain[i] = span{owner: names[i], next: next}
 	}
-	rng.Shuffle(len(linear), func(i, j int) { linear[i], linear[j] = linear[j], linear[i] })
-	for _, sp := range linear {
-		s.add(sp, 0)
-	}
+	// The last owner's span covers names past it and, on its far side of
+	// the apex, names sorting before the apex: only the wrap-around check
+	// reaches the latter, since no owner precedes them.
+	wrapProbes := []dns.Name{dns.MustName("zzzzzzzzzzzzzz.dlv.test"), dns.MustName("test")}
 
-	prop := func(seed int64) bool {
-		probe := dns.MustName(fmt.Sprintf("%s.dlv.test", randomChainLabel(rand.New(rand.NewSource(seed)))))
-		want := false
-		for _, sp := range linear {
-			if dns.Covered(probe, sp.owner, sp.next) {
-				want = true
+	for _, limit := range []int{0, 60} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			s := &spanStore{limit: limit}
+			model := map[dns.Name]span{}
+			now := uint32(1000)
+			purges, resets := 0, 0
+			for step := 0; step < 1500; step++ {
+				if rng.Intn(8) == 0 {
+					now += uint32(rng.Intn(40))
+				}
+				sp := chain[rng.Intn(len(chain))]
+				sp.expires = now - 20 + uint32(rng.Intn(200)) // some already expired
+				if rng.Intn(3) == 0 {
+					sp.expires += 1000 // long-lived: fills the cap so it resets
+				}
+				s.add(sp, now)
+				if limit > 0 && len(model) >= limit {
+					purges++
+					for o, m := range model {
+						if m.expires < now {
+							delete(model, o)
+						}
+					}
+					if len(model) >= limit {
+						resets++
+						clear(model)
+					}
+				}
+				if old, ok := model[sp.owner]; !ok || sp.expires > old.expires {
+					model[sp.owner] = sp
+				}
+				if s.size() != len(model) {
+					t.Fatalf("step %d: store holds %d spans, model %d", step, s.size(), len(model))
+				}
+
+				probes := append([]dns.Name{sp.owner, dns.MustName("x." + string(sp.owner))}, wrapProbes...)
+				for k := 0; k < 6; k++ {
+					probes = append(probes, dns.MustName(fmt.Sprintf("%s.dlv.test", randomChainLabel(rng))))
+				}
+				for _, probe := range probes {
+					at := now + uint32(rng.Intn(60))
+					want := false
+					for _, m := range model {
+						if m.covers(probe, at) {
+							want = true
+							break
+						}
+					}
+					if got := s.covers(probe, at); got != want {
+						t.Fatalf("step %d: covers(%s, %d) = %t, linear scan %t", step, probe, at, got, want)
+					}
+				}
 			}
-		}
-		return s.covers(probe, 500) == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+			if limit > 0 && (purges == 0 || resets == 0) {
+				t.Fatalf("the span cap triggered %d purges and %d resets; want both", purges, resets)
+			}
+		})
 	}
 }
 
@@ -255,3 +302,56 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("order queue grew to %d slots for a 100-entry cache", got)
 	}
 }
+
+// BenchmarkSpanCovers measures one look-aside suppression check against a
+// registry span store at sweep scale: a body of about 20k spans of one
+// consistent chain plus a full tail of recent inserts, probed with names
+// that are covered and names that are span owners (not covered).
+func BenchmarkSpanCovers(b *testing.B) {
+	const body = 20_000
+	n := body + tailLimit - 1
+	apex := dns.MustName("dlv.test")
+	names := make([]dns.Name, n)
+	for i := range names {
+		names[i] = dns.MustName(fmt.Sprintf("n%06d.dlv.test", i))
+	}
+	rng := rand.New(rand.NewSource(5))
+	order := rng.Perm(n)
+	s := &spanStore{}
+	for k, i := range order {
+		next := apex
+		if i+1 < n {
+			next = names[i+1]
+		}
+		s.add(span{owner: names[i], next: next, expires: 1 << 30}, 0)
+		if k == body-1 && len(s.tail) > 0 {
+			s.merge() // the rest of the inserts make up the tail
+		}
+	}
+	if len(s.tail) != tailLimit-1 {
+		b.Fatalf("tail holds %d spans; want %d", len(s.tail), tailLimit-1)
+	}
+	probes := make([]dns.Name, 4096)
+	covered := 0
+	for i := range probes {
+		j := rng.Intn(n)
+		probes[i] = names[j]
+		if i%2 == 0 {
+			probes[i] = dns.MustName(fmt.Sprintf("n%06da.dlv.test", j)) // inside span j
+		}
+		if s.covers(probes[i], 1) {
+			covered++
+		}
+	}
+	if covered != len(probes)/2 {
+		b.Fatalf("%d of %d probes covered; want half", covered, len(probes))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coversSink = s.covers(probes[i%len(probes)], 1)
+	}
+}
+
+// coversSink keeps BenchmarkSpanCovers' calls from being optimized away.
+var coversSink bool

@@ -57,33 +57,64 @@ type tldSynth struct {
 	u      *Universe
 	label  string
 	signed bool
+
+	once    sync.Once
+	entries []zone.SynthEntry
+	glue    map[dns.Name]zone.SynthEntry // pool NS name -> its glue entry
 }
 
-// SynthIndex implements zone.SynthSource. The index is the complete child
-// set of the TLD — independent of query order, so NSEC chain arithmetic in
-// the zone is exact from the first query.
-func (s *tldSynth) SynthIndex() []zone.SynthEntry {
-	var entries []zone.SynthEntry
+// build indexes the TLD's children and the pool glue they need in one pass
+// over the population; safe under the zone lock and from concurrent callers.
+func (s *tldSynth) build() {
 	pools := make(map[int]bool)
 	_ = s.u.eachDomain(func(d *dataset.Domain) error {
 		if d.TLD != s.label {
 			return nil
 		}
 		pools[s.u.pool(d.Name)] = true
-		kind := zone.SynthCut
-		if d.Signed && d.DSInParent && s.signed {
-			kind = zone.SynthSecureCut
-		}
-		entries = append(entries, zone.SynthEntry{Name: d.Name, Kind: kind})
+		s.entries = append(s.entries, s.cutEntry(d))
 		return nil
 	})
+	s.glue = make(map[dns.Name]zone.SynthEntry, len(pools))
 	for p := range pools {
 		// poolNSName cannot fail for a label that already formed a zone apex.
 		if name, err := poolNSName(p, s.label); err == nil {
-			entries = append(entries, zone.SynthEntry{Name: name, Kind: zone.SynthGlue, Aux: uint32(p)})
+			e := zone.SynthEntry{Name: name, Kind: zone.SynthGlue, Aux: uint32(p)}
+			s.glue[name] = e
+			s.entries = append(s.entries, e)
 		}
 	}
-	return entries
+}
+
+// cutEntry returns the delegation entry of a child domain of this TLD.
+func (s *tldSynth) cutEntry(d *dataset.Domain) zone.SynthEntry {
+	kind := zone.SynthCut
+	if d.Signed && d.DSInParent && s.signed {
+		kind = zone.SynthSecureCut
+	}
+	return zone.SynthEntry{Name: d.Name, Kind: kind}
+}
+
+// SynthIndex implements zone.SynthSource. The index is the complete child
+// set of the TLD — independent of query order, so NSEC chain arithmetic in
+// the zone is exact from the first query.
+func (s *tldSynth) SynthIndex() []zone.SynthEntry {
+	s.once.Do(s.build)
+	return s.entries
+}
+
+// SynthLookup implements zone.SynthSource: children come straight from the
+// domain spec, pool glue from the set the index pass collected.
+func (s *tldSynth) SynthLookup(name dns.Name) (zone.SynthEntry, bool) {
+	if d, ok := s.u.lookupDomain(name); ok {
+		if d.TLD != s.label {
+			return zone.SynthEntry{}, false
+		}
+		return s.cutEntry(d), true
+	}
+	s.once.Do(s.build)
+	e, ok := s.glue[name]
+	return e, ok
 }
 
 // SynthRecords implements zone.SynthSource. NS and DS records carry TTL 0
@@ -155,18 +186,30 @@ func (s *regSynth) build() {
 			return nil // an undepositable name would have failed eager Build too
 		}
 		s.owners[owner] = d.Name
-		s.entries = append(s.entries, zone.SynthEntry{
-			Name: owner, Kind: zone.SynthLeaf, Aux: uint32(dns.TypeDLV),
-		})
+		s.entries = append(s.entries, depositEntry(owner))
 		s.count++
 		return nil
 	})
+}
+
+// depositEntry is the index entry of one look-aside owner.
+func depositEntry(owner dns.Name) zone.SynthEntry {
+	return zone.SynthEntry{Name: owner, Kind: zone.SynthLeaf, Aux: uint32(dns.TypeDLV)}
 }
 
 // SynthIndex implements zone.SynthSource.
 func (s *regSynth) SynthIndex() []zone.SynthEntry {
 	s.once.Do(s.build)
 	return s.entries
+}
+
+// SynthLookup implements zone.SynthSource.
+func (s *regSynth) SynthLookup(name dns.Name) (zone.SynthEntry, bool) {
+	s.once.Do(s.build)
+	if _, ok := s.owners[name]; !ok {
+		return zone.SynthEntry{}, false
+	}
+	return depositEntry(name), true
 }
 
 // SynthRecords implements zone.SynthSource.

@@ -49,9 +49,17 @@ type SynthEntry struct {
 // SynthSource derives zone content on demand.
 //
 // SynthIndex returns every synthesized owner name exactly once. The zone
-// sorts and memoizes it on first use (under the zone lock), so the call must
-// be deterministic but need not be cheap. Names must not collide with static
-// zone content and must not nest under one another or under static cuts.
+// sorts and memoizes it on the first query that needs chain order (NSEC
+// successor and predecessor, descendant checks), under the zone lock, so the
+// call must be deterministic but need not be cheap. The zone may sort the
+// returned slice in place. Names must not collide with static zone content
+// and must not nest under one another or under static cuts.
+//
+// SynthLookup answers the exact-owner question — is name a synthesized owner,
+// and of which kind — on every lookup, so it must be cheap (a map probe, not
+// a search). It must agree with SynthIndex: it returns true exactly for the
+// names SynthIndex lists, with the same Kind and Aux. It may be called
+// concurrently and before SynthIndex.
 //
 // SynthRecords returns the full record set owned by e.Name. Types must match
 // e.Kind (SynthCut: NS; SynthSecureCut: NS+DS; SynthGlue: A; SynthLeaf: the
@@ -60,6 +68,7 @@ type SynthEntry struct {
 // evicted name is re-derived on its next query.
 type SynthSource interface {
 	SynthIndex() []SynthEntry
+	SynthLookup(name dns.Name) (SynthEntry, bool)
 	SynthRecords(e SynthEntry) ([]dns.RR, error)
 }
 
@@ -68,7 +77,8 @@ type SynthSource interface {
 // the reset is wholesale because entries rebuild deterministically.
 const synthOverlayCap = 1 << 17
 
-// AttachSynth installs a lazy record source. It counts as one content
+// AttachSynth installs a lazy record source, replacing any earlier one along
+// with its sorted index and materialized overlay. It counts as one content
 // mutation (the zone's served universe changes); subsequent materializations
 // do not change the generation.
 func (z *Zone) AttachSynth(src SynthSource) {
@@ -76,7 +86,14 @@ func (z *Zone) AttachSynth(src SynthSource) {
 	defer z.mu.Unlock()
 	z.gen++
 	z.synth = src
-	z.synthReady = false
+	z.synthIdx, z.synthSorted = nil, false
+	z.resetOverlayLocked()
+}
+
+// resetOverlayLocked empties the materialized-record overlay.
+func (z *Zone) resetOverlayLocked() {
+	z.synthRecords = make(map[dns.Key][]dns.RR)
+	z.synthDone = make(map[dns.Name]bool)
 }
 
 // HasSynth reports whether a lazy record source is attached.
@@ -94,9 +111,10 @@ func (z *Zone) MaterializedNames() int {
 	return len(z.synthDone)
 }
 
-// synthEnsureLocked sorts and memoizes the owner index on first use.
+// synthEnsureLocked sorts and memoizes the owner index on first use. Only
+// chain-order questions need it; exact-owner questions go to SynthLookup.
 func (z *Zone) synthEnsureLocked() {
-	if z.synthReady || z.synth == nil {
+	if z.synthSorted || z.synth == nil {
 		return
 	}
 	idx := z.synth.SynthIndex()
@@ -104,24 +122,15 @@ func (z *Zone) synthEnsureLocked() {
 		return dns.CanonicalLess(idx[i].Name, idx[j].Name)
 	})
 	z.synthIdx = idx
-	z.synthRecords = make(map[dns.Key][]dns.RR)
-	z.synthDone = make(map[dns.Name]bool)
-	z.synthReady = true
+	z.synthSorted = true
 }
 
-// synthAtLocked finds the index entry owning name, if any.
+// synthAtLocked returns the synthesized owner entry of name, if any.
 func (z *Zone) synthAtLocked(name dns.Name) (SynthEntry, bool) {
 	if z.synth == nil {
 		return SynthEntry{}, false
 	}
-	z.synthEnsureLocked()
-	i := sort.Search(len(z.synthIdx), func(i int) bool {
-		return !dns.CanonicalLess(z.synthIdx[i].Name, name)
-	})
-	if i < len(z.synthIdx) && z.synthIdx[i].Name == name {
-		return z.synthIdx[i], true
-	}
-	return SynthEntry{}, false
+	return z.synth.SynthLookup(name)
 }
 
 // synthHasDescendantLocked reports whether a synthesized owner exists
@@ -169,8 +178,7 @@ func (z *Zone) synthMaterializeLocked(e SynthEntry) error {
 		return fmt.Errorf("zone %s: materializing %s: %w", z.apex, e.Name, err)
 	}
 	if len(z.synthDone) >= synthOverlayCap {
-		z.synthRecords = make(map[dns.Key][]dns.RR)
-		z.synthDone = make(map[dns.Name]bool)
+		z.resetOverlayLocked()
 	}
 	for _, rr := range rrs {
 		if rr.TTL == 0 {

@@ -21,6 +21,15 @@ func (m *mapSynth) SynthIndex() []SynthEntry {
 	return append([]SynthEntry(nil), m.entries...)
 }
 
+func (m *mapSynth) SynthLookup(name dns.Name) (SynthEntry, bool) {
+	for _, e := range m.entries {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return SynthEntry{}, false
+}
+
 func (m *mapSynth) SynthRecords(e SynthEntry) ([]dns.RR, error) {
 	m.derived++
 	return append([]dns.RR(nil), m.records[e.Name]...), nil
@@ -196,5 +205,32 @@ func TestSynthMaterializationIsLazyAndGenStable(t *testing.T) {
 	}
 	if got := lazy.Generation(); got != gen {
 		t.Errorf("generation moved %d -> %d across materialization", gen, got)
+	}
+}
+
+// TestAttachSynthResetsOverlay pins that a second AttachSynth drops what the
+// first source materialized: the new source's records must be derived from
+// it, never served from the old overlay.
+func TestAttachSynthResetsOverlay(t *testing.T) {
+	_, lazy := buildSynthPair(t)
+	first := lazy.synth.(*mapSynth)
+	bravo := dns.MustName("bravo.tld")
+	if _, err := lazy.Lookup(bravo, dns.TypeA, true); err != nil {
+		t.Fatal(err)
+	}
+	if lazy.MaterializedNames() == 0 {
+		t.Fatal("referral did not materialize the cut")
+	}
+
+	second := &mapSynth{entries: first.entries, records: first.records}
+	lazy.AttachSynth(second)
+	if got := lazy.MaterializedNames(); got != 0 {
+		t.Fatalf("re-attach kept %d materialized names", got)
+	}
+	if _, err := lazy.Lookup(bravo, dns.TypeA, true); err != nil {
+		t.Fatal(err)
+	}
+	if second.derived == 0 {
+		t.Error("referral after re-attach was served from the old overlay")
 	}
 }

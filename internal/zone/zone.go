@@ -75,12 +75,13 @@ type Zone struct {
 	gen uint64
 
 	// synth lazily extends the zone with derivable owner names (see
-	// synth.go). synthIdx is the sorted owner index, memoized on first use;
-	// synthRecords/synthDone form the bounded materialized-record overlay.
-	// None of the overlay state affects gen: a synth-backed zone serves the
-	// same bytes whether or not a name has been materialized yet.
+	// synth.go). synthIdx is the sorted owner index, memoized on the first
+	// chain-order question; synthRecords/synthDone form the bounded
+	// materialized-record overlay, created by AttachSynth. None of the
+	// overlay state affects gen: a synth-backed zone serves the same bytes
+	// whether or not a name has been materialized yet.
 	synth        SynthSource
-	synthReady   bool
+	synthSorted  bool
 	synthIdx     []SynthEntry
 	synthRecords map[dns.Key][]dns.RR
 	synthDone    map[dns.Name]bool
