@@ -24,14 +24,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path benchmarks (one simnet exchange plus the leak-curve sweeps) with
-# allocation reporting. Emits the raw output to BENCH_hotpath.txt and a
+# Hot-path benchmarks (one simnet exchange, the leak-curve sweeps, and the
+# universe's phase-by-phase cold start) with allocation reporting. Emits the raw output to BENCH_hotpath.txt and a
 # flat {benchmark: {metric: value}} summary to BENCH_hotpath.json via
 # scripts/bench2json.awk.
 BENCHTIME ?= 2s
 
 bench-hotpath:
-	$(GO) test -run XXX -bench 'BenchmarkExchange|BenchmarkFig8DLVQueries|BenchmarkFig9LeakProportion' \
+	$(GO) test -run XXX -bench 'BenchmarkExchange|BenchmarkFig8DLVQueries|BenchmarkFig9LeakProportion|BenchmarkColdStart' \
 		-benchmem -benchtime $(BENCHTIME) . | tee BENCH_hotpath.txt
 	@awk -f scripts/bench2json.awk BENCH_hotpath.txt > BENCH_hotpath.json
 	@cat BENCH_hotpath.json
@@ -140,9 +140,10 @@ bench-sweep-baseline: bench-sweep
 	cp BENCH_sweep.json BENCH_sweep.baseline.json
 
 # Short fuzzing pass over every Fuzz* target (wire decoder, zone parser,
-# fault schedules, admission-control packet checks). -fuzz accepts a single
+# fault schedules, admission-control packet checks, trace and ranked-list
+# readers). -fuzz accepts a single
 # target per run, so discover and loop.
-FUZZ_PKGS = ./internal/dns ./internal/zonefile ./internal/faults ./internal/snapshot ./internal/core ./internal/overload
+FUZZ_PKGS = ./internal/dns ./internal/zonefile ./internal/faults ./internal/snapshot ./internal/core ./internal/overload ./internal/dataset
 
 fuzz:
 	@set -e; for pkg in $(FUZZ_PKGS); do \

@@ -81,6 +81,7 @@ func run(args []string) error {
 		return err
 	}
 
+	start := time.Now()
 	var pop *dataset.Population
 	if *domainsFile != "" {
 		f, err := os.Open(*domainsFile)
@@ -100,6 +101,7 @@ func run(args []string) error {
 			return err
 		}
 	}
+	popBuilt := time.Now()
 	u, err := universe.Build(universe.Options{
 		Seed:           *seed,
 		Population:     pop,
@@ -111,6 +113,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("resolved: population built in %v, universe in %v\n",
+		popBuilt.Sub(start).Round(time.Millisecond), time.Since(popBuilt).Round(time.Millisecond))
 	if *verbose {
 		u.Net.AddTap(func(ev simnet.Event) {
 			if ev.DstRole == simnet.RoleDLV {

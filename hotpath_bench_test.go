@@ -7,6 +7,8 @@ package lookaside
 // allocation ceiling so regressions fail in CI rather than in a profile.
 // BenchmarkZoneReferral isolates one layer below the wire: a referral out
 // of a synth-backed TLD zone at paper scale (docs/results-sweep.md).
+// BenchmarkColdStart times what a fresh universe costs before its TLD tier
+// has answered once (docs/results-serve.md, "Cold start").
 
 import (
 	"fmt"
@@ -15,9 +17,11 @@ import (
 	"time"
 
 	"github.com/dnsprivacy/lookaside/internal/authserver"
+	"github.com/dnsprivacy/lookaside/internal/dataset"
 	"github.com/dnsprivacy/lookaside/internal/dns"
 	"github.com/dnsprivacy/lookaside/internal/dnssec"
 	"github.com/dnsprivacy/lookaside/internal/simnet"
+	"github.com/dnsprivacy/lookaside/internal/universe"
 	"github.com/dnsprivacy/lookaside/internal/zone"
 )
 
@@ -217,5 +221,68 @@ func BenchmarkZoneReferral(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdStart measures what a fresh universe costs before its TLD
+// tier has answered everything once, phase by phase: generating the
+// population, building the lazy universe, the first .com denial (which
+// partitions the domains among the lazy sources and sorts the .com owner
+// index, the largest), and one denial from each other TLD (their sorts).
+// Each denial is for a name absent from the zone, so the zone must prove
+// no names live below it, which forces the sorted index.
+func BenchmarkColdStart(b *testing.B) {
+	for _, size := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("pop=%d", size), func(b *testing.B) {
+			var popT, uniT, firstT, allT time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				pop, err := dataset.AlexaLike(dataset.PopulationConfig{Size: size, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				u, err := universe.Build(universe.Options{Seed: 1, Population: pop, Extra: dataset.SecureDomains()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				coldDenial(b, u, "com")
+				t3 := time.Now()
+				for _, label := range u.TLDLabels() {
+					if label != "com" {
+						coldDenial(b, u, label)
+					}
+				}
+				t4 := time.Now()
+				popT += t1.Sub(t0)
+				uniT += t2.Sub(t1)
+				firstT += t3.Sub(t2)
+				allT += t4.Sub(t3)
+			}
+			ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(ms(popT), "population_ms")
+			b.ReportMetric(ms(uniT), "universe_ms")
+			b.ReportMetric(ms(firstT), "first_referral_ms")
+			b.ReportMetric(ms(allT), "all_tlds_ms")
+		})
+	}
+}
+
+// coldDenial asks a TLD's server for a name no population draws (syllable
+// labels hold no digits) and expects NXDOMAIN.
+func coldDenial(b *testing.B, u *universe.Universe, label string) {
+	b.Helper()
+	addr, ok := u.TLDAddr(label)
+	if !ok {
+		b.Fatalf("no TLD %q", label)
+	}
+	q := dns.NewQuery(1, dns.MustName("cold-start-0."+label), dns.TypeA, true)
+	resp, err := u.Net.Exchange(universe.StubAddr, addr, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if resp.Header.RCode != dns.RCodeNXDomain {
+		b.Fatalf("%s denial: rcode %v", label, resp.Header.RCode)
 	}
 }

@@ -31,9 +31,8 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 
-	pop := &Population{byName: make(map[dns.Name]*Domain)}
+	pop := &Population{byName: make(map[dns.Name]int32)}
 	tldSigned := make(map[string]bool)
-	seen := make(map[dns.Name]bool)
 	rng := newPopRand(seed)
 
 	lineNo := 0
@@ -59,10 +58,10 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 		if name.LabelCount() != 2 {
 			continue // bare TLDs and the root carry no resolvable site
 		}
-		if seen[name] {
+		if _, dup := pop.byName[name]; dup {
 			continue
 		}
-		seen[name] = true
+		pop.byName[name] = int32(len(pop.Domains))
 		labels := name.Labels()
 		tld := labels[1]
 		if _, seen := tldSigned[tld]; !seen {
@@ -90,9 +89,6 @@ func LoadRanked(r io.Reader, rates Rates, seed int64) (*Population, error) {
 	}
 	if len(pop.Domains) == 0 {
 		return nil, fmt.Errorf("dataset: no usable domains in list")
-	}
-	for i := range pop.Domains {
-		pop.byName[pop.Domains[i].Name] = &pop.Domains[i]
 	}
 	return pop, nil
 }

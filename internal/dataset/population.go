@@ -10,7 +10,9 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
 )
@@ -106,7 +108,9 @@ type PopulationConfig struct {
 type Population struct {
 	Domains []Domain
 	TLDs    []TLD
-	byName  map[dns.Name]*Domain
+	// byName maps each name to its position in Domains. Positions, not
+	// pointers, keep the 10^6-entry map out of the garbage collector's scan.
+	byName map[dns.Name]int32
 }
 
 // tldTable is the built-in TLD mix: labels, SLD share, and a signing-rate
@@ -155,8 +159,8 @@ var syllables = []string{
 
 // AlexaLike generates a ranked population of cfg.Size domains.
 func AlexaLike(cfg PopulationConfig) (*Population, error) {
-	if cfg.Size <= 0 {
-		return nil, fmt.Errorf("dataset: population size %d must be positive", cfg.Size)
+	if cfg.Size <= 0 || cfg.Size > math.MaxInt32 {
+		return nil, fmt.Errorf("dataset: population size %d must be in [1, 2^31)", cfg.Size)
 	}
 	rates := cfg.Rates
 	if rates == (Rates{}) {
@@ -164,14 +168,13 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	pop := &Population{byName: make(map[dns.Name]*Domain, cfg.Size)}
+	pop := &Population{byName: make(map[dns.Name]int32, cfg.Size)}
 
 	// TLD signing decisions are global, not per-domain.
-	tldSigned := make(map[string]bool, len(tldTable))
-	for _, t := range tldTable {
-		signed := rng.Float64() < rates.TLDSigned
-		tldSigned[t.label] = signed
-		pop.TLDs = append(pop.TLDs, TLD{Label: t.label, Signed: signed, Weight: t.weight})
+	tldSigned := make([]bool, len(tldTable))
+	for i, t := range tldTable {
+		tldSigned[i] = rng.Float64() < rates.TLDSigned
+		pop.TLDs = append(pop.TLDs, TLD{Label: t.label, Signed: tldSigned[i], Weight: t.weight})
 	}
 
 	// Cumulative weights for TLD sampling.
@@ -182,9 +185,11 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		cum[i] = total
 	}
 
-	seen := make(map[string]bool, cfg.Size)
+	// Each "label.tld." is assembled in buf. Syllables and TLD labels are
+	// lowercase hostname characters, so the result is a valid Name as is.
+	buf := make([]byte, 0, 64)
 	pop.Domains = make([]Domain, 0, cfg.Size)
-	for rank := 1; len(pop.Domains) < cfg.Size; rank++ {
+	for len(pop.Domains) < cfg.Size {
 		// Pick a TLD by weight.
 		x := rng.Float64() * total
 		ti := 0
@@ -195,22 +200,25 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 			}
 		}
 		t := tldTable[ti]
-		label := makeLabel(rng)
-		full := label + "." + t.label
-		if seen[full] {
-			full = fmt.Sprintf("%s%d.%s", label, len(pop.Domains), t.label)
+		buf = buf[:0]
+		for n := 2 + rng.Intn(4); n > 0; n-- { // 2..5 syllables: 4..10 chars
+			buf = append(buf, syllables[rng.Intn(len(syllables))]...)
 		}
-		seen[full] = true
-		name, err := dns.MakeName(full)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: generated invalid name %q: %w", full, err)
+		labelLen := len(buf)
+		buf = appendTLD(buf, t.label)
+		if _, dup := pop.byName[dns.Name(buf)]; dup {
+			// Syllable labels hold no digits, so the rank suffix is unique.
+			buf = strconv.AppendInt(buf[:labelLen], int64(len(pop.Domains)), 10)
+			buf = appendTLD(buf, t.label)
 		}
+		name := dns.Name(buf)
+		pop.byName[name] = int32(len(pop.Domains))
 
 		d := Domain{Name: name, TLD: t.label, Rank: len(pop.Domains) + 1}
 		if rng.Float64() < rates.SLDSigned*t.signedMult {
 			d.Signed = true
 			// A DS needs a signed parent to live in.
-			if tldSigned[t.label] && rng.Float64() < rates.DSGivenSigned {
+			if tldSigned[ti] && rng.Float64() < rates.DSGivenSigned {
 				d.DSInParent = true
 			}
 		}
@@ -222,25 +230,23 @@ func AlexaLike(cfg PopulationConfig) (*Population, error) {
 		}
 		pop.Domains = append(pop.Domains, d)
 	}
-	for i := range pop.Domains {
-		pop.byName[pop.Domains[i].Name] = &pop.Domains[i]
-	}
 	return pop, nil
 }
 
-func makeLabel(rng *rand.Rand) string {
-	n := 2 + rng.Intn(4) // 2..5 syllables: 4..10 chars
-	out := make([]byte, 0, 12)
-	for i := 0; i < n; i++ {
-		out = append(out, syllables[rng.Intn(len(syllables))]...)
-	}
-	return string(out)
+// appendTLD closes a label with ".tld.".
+func appendTLD(buf []byte, tld string) []byte {
+	buf = append(buf, '.')
+	buf = append(buf, tld...)
+	return append(buf, '.')
 }
 
 // Lookup returns the population entry for a domain name.
 func (p *Population) Lookup(name dns.Name) (*Domain, bool) {
-	d, ok := p.byName[name]
-	return d, ok
+	i, ok := p.byName[name]
+	if !ok {
+		return nil, false
+	}
+	return &p.Domains[i], true
 }
 
 // Top returns the n highest-ranked domains (all of them when n exceeds the

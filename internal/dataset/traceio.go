@@ -184,8 +184,7 @@ func (tr *TraceReader) parseLine(line string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("dataset: ndjson trace line %q: %w", line, err)
 		}
-		tr.minute++
-		return q, nil
+		return tr.count(q)
 	}
 	if !tr.header && strings.HasPrefix(line, "minute,") {
 		tr.header = true
@@ -198,6 +197,16 @@ func (tr *TraceReader) parseLine(line string) (int, error) {
 	q, err := strconv.Atoi(fields[1])
 	if err != nil {
 		return 0, fmt.Errorf("dataset: csv trace line %q: %w", line, err)
+	}
+	return tr.count(q)
+}
+
+// count accepts one minute's parsed query count. A negative count is
+// malformed, as in the binary format, and must not pass for the header
+// sentinel.
+func (tr *TraceReader) count(q int) (int, error) {
+	if q < 0 {
+		return 0, fmt.Errorf("dataset: trace minute %d has negative rate %d", tr.minute, q)
 	}
 	tr.minute++
 	return q, nil

@@ -93,6 +93,12 @@ func TestTraceReaderErrors(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader("{\"m\":0}\n")); err == nil {
 		t.Error("ndjson without q accepted")
 	}
+	// Negative rates are malformed in every format, never a skipped line.
+	for _, in := range []string{"{\"m\":0,\"q\":-5}\n", "minute,queries,cumulative\n0,-1,0\n1,7,6\n"} {
+		if got, err := ReadTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("negative rate in %q accepted as %v", in, got.PerMinute)
+		}
+	}
 	// Unknown write format.
 	if err := WriteTrace(&bytes.Buffer{}, "xml", trace); err == nil {
 		t.Error("unknown format accepted")

@@ -2,6 +2,7 @@ package dns
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"testing"
 
@@ -163,6 +164,58 @@ func FuzzDecodeDifferential(f *testing.F) {
 		}
 		if fastEncErr == nil && !bytes.Equal(fw, rw) {
 			t.Fatalf("re-encodings differ:\nfast:      %x\nreference: %x", fw, rw)
+		}
+	})
+}
+
+// FuzzCanonicalPrefix checks the packed-key property the zone's owner-index
+// sort relies on: for any two valid names whose prefixes differ, the
+// prefixes order them exactly as CanonicalCompare does (and equal names
+// pack equally). Run with `go test -fuzz=FuzzCanonicalPrefix ./internal/dns`.
+func FuzzCanonicalPrefix(f *testing.F) {
+	for _, pair := range [][2]string{
+		{"example.com.", "www.example.com."},                       // ancestor, descendant
+		{"ab-.com.", "ab.com."},                                    // terminator below '-'
+		{"abcdefghijklmnop.com.", "abcdefghijklmnopq.com."},        // 16-byte label, one longer
+		{"abcdefghijklmnopqrst.com.", "abcdefghijklmnopqrsu.com."}, // tie inside 16 bytes
+		{"x.abcdefghijklmnopqrstuv.", "y.abcdefghijklmnopqrstuv."}, // tie on a long TLD
+		{"*.example.com.", "_dmarc.example.com."},                  // wildcard and underscore
+		{"*.example.com.", "a.example.com."},
+		{"_tcp.example.com.", "0.example.com."},
+		{".", "com."}, // the root
+		{".", "."},
+		{"a.b.c.d.e.f.g.h.", "a.b.c.d.e.f.g.h.i."}, // many short labels
+		{"z.com.", "a.net."},                       // TLD decides
+		{"com.", "co.m."},
+		{"xn--bcher-kva.example.", "xn--bcher-kv.example."},
+		{"sub-domain.my-site.co.uk.", "sub.domain.my-site.co.uk."},
+		{"a-b.com.", "a.b.com."},
+		{"z.b.com.", "ba.com."}, // label end against a longer label
+		{"secure00.edu.", "secure0.edu."},
+		{"wecenoenin.com.", "wecenoenin0.com."}, // renamed duplicate
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, as, bs string) {
+		a, errA := MakeName(as)
+		b, errB := MakeName(bs)
+		if errA != nil || errB != nil {
+			return
+		}
+		ahi, alo := CanonicalPrefix(a)
+		bhi, blo := CanonicalPrefix(b)
+		want := CanonicalCompare(a, b)
+		var got int
+		switch {
+		case ahi != bhi:
+			got = cmp.Compare(ahi, bhi)
+		case alo != blo:
+			got = cmp.Compare(alo, blo)
+		default:
+			return // prefixes tie: the sort falls back to CanonicalCompare
+		}
+		if got != want {
+			t.Fatalf("prefix order %d, CanonicalCompare(%s, %s) = %d", got, a, b, want)
 		}
 	})
 }

@@ -50,6 +50,32 @@ func (u *Universe) eachDomain(fn func(*dataset.Domain) error) error {
 	return nil
 }
 
+// lazyParts is the domain set split among the lazy sources: the children of
+// each TLD and the DLV depositors, each in eachDomain order.
+type lazyParts struct {
+	once       sync.Once
+	children   map[string][]*dataset.Domain
+	depositors []*dataset.Domain
+}
+
+// parts partitions the domains for every lazy source in one eachDomain pass
+// the first time any source needs its share; later calls return the same
+// partition. Safe from concurrent callers.
+func (u *Universe) parts() *lazyParts {
+	p := &u.lazy
+	p.once.Do(func() {
+		p.children = make(map[string][]*dataset.Domain)
+		_ = u.eachDomain(func(d *dataset.Domain) error {
+			p.children[d.TLD] = append(p.children[d.TLD], d)
+			if d.InDLV && d.Signed {
+				p.depositors = append(p.depositors, d)
+			}
+			return nil
+		})
+	})
+	return p
+}
+
 // tldSynth derives one TLD zone's delegation universe: a cut per child
 // domain (with DS when the chain reaches the parent) and one glue address
 // per hosting pool the TLD's children use.
@@ -64,17 +90,16 @@ type tldSynth struct {
 }
 
 // build indexes the TLD's children and the pool glue they need in one pass
-// over the population; safe under the zone lock and from concurrent callers.
+// over its share of the domains; safe under the zone lock and from
+// concurrent callers.
 func (s *tldSynth) build() {
+	children := s.u.parts().children[s.label]
 	pools := make(map[int]bool)
-	_ = s.u.eachDomain(func(d *dataset.Domain) error {
-		if d.TLD != s.label {
-			return nil
-		}
+	s.entries = make([]zone.SynthEntry, 0, len(children)+s.u.hostPools)
+	for _, d := range children {
 		pools[s.u.pool(d.Name)] = true
 		s.entries = append(s.entries, s.cutEntry(d))
-		return nil
-	})
+	}
 	s.glue = make(map[dns.Name]zone.SynthEntry, len(pools))
 	for p := range pools {
 		// poolNSName cannot fail for a label that already formed a zone apex.
@@ -176,20 +201,17 @@ type regSynth struct {
 func (s *regSynth) build() {
 	apex := s.u.RegistryZone
 	hashed := s.u.opts.RegistryHashed
-	s.owners = make(map[dns.Name]dns.Name)
-	_ = s.u.eachDomain(func(d *dataset.Domain) error {
-		if !d.InDLV || !d.Signed {
-			return nil
-		}
+	depositors := s.u.parts().depositors
+	s.owners = make(map[dns.Name]dns.Name, len(depositors))
+	for _, d := range depositors {
 		owner, err := dlv.LookasideName(d.Name, apex, hashed)
 		if err != nil {
-			return nil // an undepositable name would have failed eager Build too
+			continue // an undepositable name would have failed eager Build too
 		}
 		s.owners[owner] = d.Name
 		s.entries = append(s.entries, depositEntry(owner))
 		s.count++
-		return nil
-	})
+	}
 }
 
 // depositEntry is the index entry of one look-aside owner.

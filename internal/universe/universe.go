@@ -133,6 +133,8 @@ type Universe struct {
 	// Population.Lookup (see lookupDomain).
 	extras      map[dns.Name]*dataset.Domain
 	domainCount int
+	// lazy is the domain set partitioned for the lazy sources (see parts).
+	lazy lazyParts
 
 	keyMu sync.Mutex
 	keys  map[dns.Name]*domainKeys

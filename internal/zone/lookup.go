@@ -1,7 +1,9 @@
 package zone
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dnsprivacy/lookaside/internal/dns"
@@ -405,10 +407,37 @@ func (z *Zone) ensureSortedLocked() {
 	if !z.namesDirty {
 		return
 	}
-	sort.Slice(z.names, func(i, j int) bool {
-		return dns.CanonicalLess(z.names[i], z.names[j])
-	})
+	sortCanonical(z.names, func(n dns.Name) dns.Name { return n })
 	z.namesDirty = false
+}
+
+// sortCanonical sorts an owner index (names unique) into canonical order.
+// Each element is paired with its packed canonical prefix for the sort, so
+// most comparisons are two integer compares; only elements whose 16-byte
+// prefixes tie fall back to CanonicalCompare. The keyed copy (16 bytes per
+// element more than the index) lives only for the duration of the sort.
+func sortCanonical[T any](s []T, name func(T) dns.Name) {
+	type keyed struct {
+		hi, lo uint64
+		v      T
+	}
+	ks := make([]keyed, len(s))
+	for i, v := range s {
+		hi, lo := dns.CanonicalPrefix(name(v))
+		ks[i] = keyed{hi, lo, v}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.hi, b.hi); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
+		}
+		return dns.CanonicalCompare(name(a.v), name(b.v))
+	})
+	for i := range ks {
+		s[i] = ks[i].v
+	}
 }
 
 // successorLocked returns the next visible owner name after owner in

@@ -2,7 +2,7 @@ package zone
 
 // Lazy owner-name materialization. A SynthSource extends a zone with a
 // (possibly very large) universe of owner names whose records are derivable
-// on demand: the source publishes the complete sorted owner index up front —
+// on demand: the source publishes the complete owner index up front —
 // so existence checks, delegation cuts, and NSEC chain arithmetic are exact
 // and independent of which names have been touched — while the records
 // themselves (NS/DS sets, glue addresses, DLV deposits) are computed only
@@ -48,12 +48,14 @@ type SynthEntry struct {
 
 // SynthSource derives zone content on demand.
 //
-// SynthIndex returns every synthesized owner name exactly once. The zone
-// sorts and memoizes it on the first query that needs chain order (NSEC
-// successor and predecessor, descendant checks), under the zone lock, so the
-// call must be deterministic but need not be cheap. The zone may sort the
-// returned slice in place. Names must not collide with static zone content
-// and must not nest under one another or under static cuts.
+// SynthIndex returns every synthesized owner name exactly once, in any
+// order. The zone sorts it by packed canonical key (dns.CanonicalPrefix,
+// ties broken by CanonicalCompare) and memoizes it on the first query that
+// needs chain order (NSEC successor and predecessor, descendant checks),
+// under the zone lock, so the call must be deterministic but need not be
+// cheap. The zone may sort the returned slice in place. Names must not
+// collide with static zone content and must not nest under one another or
+// under static cuts.
 //
 // SynthLookup answers the exact-owner question — is name a synthesized owner,
 // and of which kind — on every lookup, so it must be cheap (a map probe, not
@@ -118,9 +120,7 @@ func (z *Zone) synthEnsureLocked() {
 		return
 	}
 	idx := z.synth.SynthIndex()
-	sort.Slice(idx, func(i, j int) bool {
-		return dns.CanonicalLess(idx[i].Name, idx[j].Name)
-	})
+	sortCanonical(idx, func(e SynthEntry) dns.Name { return e.Name })
 	z.synthIdx = idx
 	z.synthSorted = true
 }
